@@ -379,6 +379,56 @@ def bench_predict_many(quick: bool = False) -> BenchResult:
     )
 
 
+def bench_partial_dependence(quick: bool = False) -> BenchResult:
+    """Fig 2 interpretation stage: stacked partial-dependence grids vs.
+    the per-grid-point loop they replace.
+
+    A Fig 2-shaped forest (64 runs x 34 predictors, 300 trees as in the
+    paper benches) and the partial dependence of its top 8 predictors —
+    what :func:`repro.core.importance.rank_importance` computes. The
+    stacked path scores each feature's whole grid in one forest pass;
+    the reference walks the forest once per grid point. Checked
+    bit-identical before timing.
+    """
+    from repro.ml._reference import reference_partial_dependence
+    from repro.ml.forest import RandomForestRegressor
+    from repro.ml.partial_dependence import partial_dependence
+
+    n, p = 64, 34
+    trees = 40 if quick else 300
+    rng = np.random.default_rng(7)
+    X = rng.lognormal(size=(n, p))
+    y = 3.0 * X[:, 0] + np.log(X[:, 1]) + rng.normal(scale=0.3, size=n)
+    forest = RandomForestRegressor(n_trees=trees, rng=8).fit(X, y)
+    names = forest.feature_names_
+    features = [names.index(name) for name, _ in forest.ranked_importance()[:8]]
+
+    def run(pd_fn):
+        return [pd_fn(forest, X, j) for j in features]
+
+    stacked = run(partial_dependence)
+    for a, b in zip(stacked, run(reference_partial_dependence)):
+        if not (
+            np.array_equal(a.grid, b.grid)
+            and np.array_equal(a.values, b.values)
+            and a.monotonicity == b.monotonicity
+        ):
+            raise AssertionError("stacked partial dependence diverges from loop")
+
+    grid_points = sum(pd.grid.size for pd in stacked)
+    fast_s = _best_of(lambda: run(partial_dependence), 5)
+    base_s = _best_of(lambda: run(reference_partial_dependence), 2)
+    return _result(
+        "partial_dependence", len(features), "features", fast_s, base_s,
+        {
+            "trees": trees,
+            "n_samples": n,
+            "n_features": p,
+            "grid_points": grid_points,
+        },
+    )
+
+
 def bench_serve_concurrent(quick: bool = False) -> BenchResult:
     """Concurrent serving frontend vs. the single-connection serial loop.
 
@@ -753,6 +803,7 @@ BENCHMARKS = {
     "forest_fit": bench_forest_fit,
     "campaign_sweep": bench_campaign_sweep,
     "predict_many": bench_predict_many,
+    "partial_dependence": bench_partial_dependence,
     "serve_concurrent": bench_serve_concurrent,
     "time_to_matrix": bench_time_to_matrix,
     "fit_from_repo": bench_fit_from_repo,

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.partial_dependence import PartialDependence, partial_dependence
+from repro.obs import span
 
 __all__ = ["ImportanceRanking", "rank_importance", "reduced_model_check", "rank_similarity"]
 
@@ -61,7 +62,11 @@ def rank_importance(
     dependence: dict[str, PartialDependence] = {}
     for name in names[:top_k_dependence]:
         j = forest.feature_names_.index(name)
-        dependence[name] = partial_dependence(forest, X, j, feature_name=name)
+        with span("importance.partial_dependence", feature=name) as record:
+            pd = partial_dependence(forest, X, j, feature_name=name)
+            if record is not None:  # the grid size is known only now
+                record.labels["grid"] = int(pd.grid.size)
+        dependence[name] = pd
     return ImportanceRanking(names=names, scores=scores, dependence=dependence)
 
 

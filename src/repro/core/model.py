@@ -465,6 +465,7 @@ class BlackForest:
                 k=min(self.top_k, len(names)), rng=self._rng,
             )
 
+        test_pred = forest.predict(X_test)
         return BlackForestFit(
             kernel=campaign.kernel,
             arch=campaign.arch,
@@ -476,10 +477,8 @@ class BlackForest:
             y_test=y_test,
             oob_mse=forest.oob_mse_,
             oob_explained_variance=forest.oob_explained_variance_,
-            test_mse=mse(y_test, forest.predict(X_test)),
-            test_explained_variance=explained_variance(
-                y_test, forest.predict(X_test)
-            ),
+            test_mse=mse(y_test, test_pred),
+            test_explained_variance=explained_variance(y_test, test_pred),
             importance=ranking,
             bottlenecks=bottlenecks,
             pca=pca,

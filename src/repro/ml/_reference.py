@@ -1,13 +1,15 @@
 """Pre-vectorization CART/forest implementations, kept on purpose.
 
-These are the scalar hot paths that :mod:`repro.ml.tree` and
-:mod:`repro.ml.forest` replaced with the block-vectorized split scan,
-the batched OOB-permutation predict and the spawned-stream parallel
-fit. They survive for two reasons:
+These are the scalar hot paths that :mod:`repro.ml.tree`,
+:mod:`repro.ml.forest` and :mod:`repro.ml.partial_dependence` replaced
+with the block-vectorized split scan, the batched OOB-permutation
+predict, the spawned-stream parallel fit and the stacked
+partial-dependence grid. They survive for two reasons:
 
 * **correctness oracles** — the equivalence tests pin the fast
   implementations against these on randomized datasets
-  (``tests/ml/test_forest_parallel.py``);
+  (``tests/ml/test_forest_parallel.py``,
+  ``tests/ml/test_partial_dependence.py``);
 * **benchmark baselines** — ``repro bench`` times them against the fast
   paths and records both in ``BENCH_core.json``, so speedups are
   measured against real code, not remembered numbers.
@@ -20,9 +22,14 @@ from __future__ import annotations
 import numpy as np
 
 from .metrics import explained_variance, mse
+from .partial_dependence import PartialDependence, _assemble, _validated_grid
 from .tree import _LEAF, _best_split_for_feature
 
-__all__ = ["ReferenceRegressionTree", "ReferenceRandomForestRegressor"]
+__all__ = [
+    "ReferenceRegressionTree",
+    "ReferenceRandomForestRegressor",
+    "reference_partial_dependence",
+]
 
 
 class ReferenceRegressionTree:
@@ -278,3 +285,42 @@ class ReferenceRandomForestRegressor:
         for tree in self.trees_:
             acc += tree.predict(X)
         return acc / len(self.trees_)
+
+
+def reference_partial_dependence(
+    model,
+    X: np.ndarray,
+    feature: int,
+    grid_resolution: int = 20,
+    feature_name: str | None = None,
+    percentile_clip: tuple[float, float] = (0.0, 100.0),
+    confidence: float | None = None,
+) -> PartialDependence:
+    """Partial dependence with one full model pass per grid point.
+
+    Same arguments and grid as
+    :func:`repro.ml.partial_dependence.partial_dependence`, which scores
+    the whole grid in one stacked pass instead.
+    """
+    X, grid = _validated_grid(
+        X, feature, grid_resolution, percentile_clip, confidence
+    )
+    values = np.empty(grid.size)
+    lower = upper = None
+    trees = getattr(model, "trees_", None) if confidence is not None else None
+    if trees:
+        lower = np.empty(grid.size)
+        upper = np.empty(grid.size)
+        alpha = (1.0 - confidence) / 2.0
+
+    work = X.copy()
+    for i, v in enumerate(grid):
+        work[:, feature] = v
+        if trees:
+            per_tree = np.array([t.predict(work).mean() for t in trees])
+            values[i] = float(per_tree.mean())
+            lower[i] = float(np.quantile(per_tree, alpha))
+            upper[i] = float(np.quantile(per_tree, 1.0 - alpha))
+        else:
+            values[i] = float(np.mean(model.predict(work)))
+    return _assemble(feature, feature_name, grid, values, lower, upper)

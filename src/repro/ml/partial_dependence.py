@@ -80,6 +80,12 @@ def _spearman(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean((rx - rx.mean()) * (ry - ry.mean())) / (sx * sy))
 
 
+#: Cap on the stacked (grid points x background rows) matrix scored in
+#: one pass; grids whose stack would exceed it are split into chunks of
+#: whole grid points.
+_PD_BATCH_BYTES = 16 << 20
+
+
 def partial_dependence(
     model,
     X: np.ndarray,
@@ -95,10 +101,19 @@ def partial_dependence(
     ``v`` on a copy of the full dataset and the model's predictions are
     averaged — the standard Friedman partial-dependence estimator.
 
+    The copies for all grid values are stacked into one matrix and
+    scored in a single model pass (one ``tree.predict`` per tree for the
+    confidence band), then each grid value's contiguous slice is
+    averaged. Forest prediction maps rows independently, so this is
+    bit-identical to one pass per grid value
+    (:func:`repro.ml._reference.reference_partial_dependence`); the
+    stack is chunked by grid value only past ``_PD_BATCH_BYTES``.
+
     Parameters
     ----------
     model:
-        Any object with ``predict(X) -> y``.
+        Any object with ``predict(X) -> y`` that predicts each row
+        independently of the others.
     X:
         Background dataset (typically the training predictors).
     feature:
@@ -116,6 +131,45 @@ def partial_dependence(
         Section 7 "confidence intervals into the partial dependence
         plots" improvement.
     """
+    X, grid = _validated_grid(
+        X, feature, grid_resolution, percentile_clip, confidence
+    )
+    n, p = X.shape
+    trees = getattr(model, "trees_", None) if confidence is not None else None
+    members = trees if trees else [model]
+    # means[g, k]: member k's average prediction at grid value g
+    means = np.empty((grid.size, len(members)))
+    chunk = max(1, _PD_BATCH_BYTES // (n * p * 8))
+    for lo in range(0, grid.size, chunk):
+        points = grid[lo : lo + chunk]
+        stack = np.tile(X, (points.size, 1))
+        stack[:, feature] = np.repeat(points, n)
+        for k, member in enumerate(members):
+            pred = member.predict(stack)
+            for i in range(points.size):
+                means[lo + i, k] = np.mean(pred[i * n : (i + 1) * n])
+    if not trees:
+        return _assemble(feature, feature_name, grid, means[:, 0], None, None)
+
+    values = np.empty(grid.size)
+    lower = np.empty(grid.size)
+    upper = np.empty(grid.size)
+    alpha = (1.0 - confidence) / 2.0
+    for i, row in enumerate(means):
+        values[i] = float(row.mean())
+        lower[i] = float(np.quantile(row, alpha))
+        upper[i] = float(np.quantile(row, 1.0 - alpha))
+    return _assemble(feature, feature_name, grid, values, lower, upper)
+
+
+def _validated_grid(
+    X: np.ndarray,
+    feature: int,
+    grid_resolution: int,
+    percentile_clip: tuple[float, float],
+    confidence: float | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Check the arguments; return ``X`` as floats and the value grid."""
     if confidence is not None and not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
     X = np.asarray(X, dtype=float)
@@ -133,26 +187,17 @@ def partial_dependence(
     grid = grid[(grid >= lo) & (grid <= hi)]
     if grid.size < 2:  # near-constant feature: flat dependence
         grid = np.array([col.min(), col.max()] if np.ptp(col) > 0 else [col[0]])
+    return X, grid
 
-    values = np.empty(grid.size)
-    lower = upper = None
-    trees = getattr(model, "trees_", None) if confidence is not None else None
-    if trees:
-        lower = np.empty(grid.size)
-        upper = np.empty(grid.size)
-        alpha = (1.0 - confidence) / 2.0
 
-    work = X.copy()
-    for i, v in enumerate(grid):
-        work[:, feature] = v
-        if trees:
-            per_tree = np.array([t.predict(work).mean() for t in trees])
-            values[i] = float(per_tree.mean())
-            lower[i] = float(np.quantile(per_tree, alpha))
-            upper[i] = float(np.quantile(per_tree, 1.0 - alpha))
-        else:
-            values[i] = float(np.mean(model.predict(work)))
-
+def _assemble(
+    feature: int,
+    feature_name: str | None,
+    grid: np.ndarray,
+    values: np.ndarray,
+    lower: np.ndarray | None,
+    upper: np.ndarray | None,
+) -> PartialDependence:
     mono = _spearman(grid, values) if grid.size > 1 else 0.0
     name = feature_name if feature_name is not None else f"x{feature}"
     return PartialDependence(

@@ -56,6 +56,13 @@ class TestBitIdentity:
             traced.forest.predict(traced.X_test),
         )
         assert plain.importance.names == traced.importance.names
+        assert np.array_equal(plain.importance.scores, traced.importance.scores)
+        assert plain.importance.dependence.keys() == traced.importance.dependence.keys()
+        for name, pd in plain.importance.dependence.items():
+            other = traced.importance.dependence[name]
+            assert np.array_equal(pd.grid, other.grid)
+            assert np.array_equal(pd.values, other.values)
+            assert pd.monotonicity == other.monotonicity
 
     def test_parallel_forest_fit_identical_with_tracing(self):
         campaign = _campaign()
@@ -95,6 +102,19 @@ class TestTraceCoverage:
         for name in ("blackforest.fit", "forest.fit", "forest.tree",
                      "blackforest.importance", "blackforest.reduced_check"):
             assert name in tracer.names(), name
+
+    def test_partial_dependence_spans_under_importance(self):
+        campaign = _campaign()
+        with trace() as tracer:
+            fit = BlackForest(n_trees=20, rng=1).fit(campaign)
+        (importance,) = tracer.find("blackforest.importance")
+        pds = tracer.find("importance.partial_dependence")
+        assert pds and all(r.parent_id == importance.span_id for r in pds)
+        assert [r.labels["feature"] for r in pds] == list(fit.importance.dependence)
+        for r in pds:
+            pd = fit.importance.dependence[r.labels["feature"]]
+            assert r.labels["grid"] == pd.grid.size
+            assert importance.start_s <= r.start_s <= r.end_s <= importance.end_s
 
     def test_metrics_cover_simulator_and_trees(self):
         with collect() as registry:

@@ -8,6 +8,7 @@ from repro.bench import (
     BENCHMARKS,
     SCHEMA,
     BenchResult,
+    bench_partial_dependence,
     bench_trace_transactions,
     check_regressions,
     format_results,
@@ -71,6 +72,38 @@ class TestBenchHarness:
         assert code == 0
         assert out.exists()
         assert "trace_transactions" in capsys.readouterr().out
+
+
+class TestPartialDependenceOp:
+    def test_result_shape(self):
+        result = bench_partial_dependence(quick=True)
+        assert result.op == "partial_dependence"
+        assert (result.n, result.unit) == (8, "features")
+        assert result.detail["trees"] == 40
+        assert (result.detail["n_samples"], result.detail["n_features"]) == (64, 34)
+        assert result.detail["grid_points"] >= 2 * result.n
+        assert result.wall_s > 0 and result.baseline_wall_s > 0
+
+    def test_divergence_fails_before_timing(self, monkeypatch):
+        import repro.ml._reference as reference
+
+        real = reference.reference_partial_dependence
+
+        def skewed(*args, **kwargs):
+            pd = real(*args, **kwargs)
+            pd.values = pd.values + 1e-9
+            return pd
+
+        monkeypatch.setattr(reference, "reference_partial_dependence", skewed)
+        with pytest.raises(AssertionError, match="diverges"):
+            bench_partial_dependence(quick=True)
+
+    def test_in_committed_baseline(self):
+        committed = json.loads(open("BENCH_core.json").read())
+        (entry,) = [
+            r for r in committed["results"] if r["op"] == "partial_dependence"
+        ]
+        assert entry["speedup"] > 1.0
 
 
 def _doctored(op: str, speedup: float) -> BenchResult:
