@@ -70,14 +70,24 @@ class BenchResult:
     detail: dict = field(default_factory=dict)
 
 
-def _best_of(fn, repeats: int) -> float:
-    """Minimum wall time over ``repeats`` calls (noise-robust)."""
-    best = float("inf")
+def _best_of(fast, base, repeats: int) -> tuple[float, float]:
+    """Minimum wall times of ``fast`` and ``base`` over ``repeats`` rounds.
+
+    Each round times one ``fast`` call and then one ``base`` call, so a
+    shift in host speed during the run reaches both sides alike instead
+    of moving their ratio (as timing all fast repeats, then all
+    baseline repeats, would).
+    """
+    best_fast = best_base = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+        fast()
+        t1 = time.perf_counter()
+        base()
+        t2 = time.perf_counter()
+        best_fast = min(best_fast, t1 - t0)
+        best_base = min(best_base, t2 - t1)
+    return best_fast, best_base
 
 
 def _result(
@@ -204,8 +214,11 @@ def bench_trace_transactions(quick: bool = False) -> BenchResult:
     if not np.array_equal(fast, base):
         raise AssertionError("vectorized transaction counts diverge from oracle")
 
-    fast_s = _best_of(lambda: transactions_from_trace(trace, seg), 5)
-    base_s = _best_of(lambda: transactions_from_trace_scalar(trace, seg), 2)
+    fast_s, base_s = _best_of(
+        lambda: transactions_from_trace(trace, seg),
+        lambda: transactions_from_trace_scalar(trace, seg),
+        5,
+    )
     return _result(
         "trace_transactions", rows, "requests", fast_s, base_s,
         {"segment_bytes": seg},
@@ -237,8 +250,7 @@ def bench_cache_trace_replay(quick: bool = False) -> BenchResult:
         sim_base.reset()
         sim_base.warm_trace_hit_rate_scalar(trace)
 
-    fast_s = _best_of(run_fast, 5)
-    base_s = _best_of(run_base, 2)
+    fast_s, base_s = _best_of(run_fast, run_base, 5)
     return _result(
         "cache_trace_replay", probes, "probes", fast_s, base_s,
         {
@@ -273,8 +285,7 @@ def bench_forest_fit(quick: bool = False) -> BenchResult:
             n_trees=trees, importance=True, rng=np.random.default_rng(3)
         ).fit(X, y)
 
-    fast_s = _best_of(run_fast, 3)
-    base_s = _best_of(run_base, 1 if quick else 2)
+    fast_s, base_s = _best_of(run_fast, run_base, 3)
     return _result(
         "forest_fit", trees, "trees", fast_s, base_s,
         {"n_samples": n, "n_features": p, "importance": True},
@@ -319,8 +330,7 @@ def bench_campaign_sweep(quick: bool = False) -> BenchResult:
             collect()
 
     runs = len(problems) * replicates
-    fast_s = _best_of(run_fast, 3)
-    base_s = _best_of(run_base, 2)
+    fast_s, base_s = _best_of(run_fast, run_base, 3)
     return _result(
         "campaign_sweep", runs, "profiled runs", fast_s, base_s,
         {
@@ -334,15 +344,17 @@ def bench_campaign_sweep(quick: bool = False) -> BenchResult:
 
 def bench_predict_many(quick: bool = False) -> BenchResult:
     """Batched serving path: one stacked predict_many pass over many
-    queued queries vs. the per-query predict loop it replaces.
+    queued queries vs. the per-query, per-tree loop it replaces.
 
     The workload mirrors what ``repro serve`` coalesces — many small
     (often single-row) query matrices against one warm fit — where the
-    per-query loop pays ``n_trees`` python-level tree traversal calls
-    *per query* and the stacked pass pays them once for the whole batch.
+    baseline pays ``n_trees`` python-level tree traversal calls *per
+    query* (the per-tree loop of :mod:`repro.ml._reference`) and the
+    stacked flat pass pays its block overhead once for the whole batch.
     The two paths are checked bit-identical before timing (the stacking
     lemma: forest prediction maps rows independently).
     """
+    from repro.ml._reference import reference_forest_predict
     from repro.ml.forest import RandomForestRegressor
 
     n, p = 200, 12
@@ -361,13 +373,16 @@ def bench_predict_many(quick: bool = False) -> BenchResult:
     rows = sum(q.shape[0] for q in queries)
 
     batched = forest.predict_many(queries)
-    looped = [forest.predict(q) for q in queries]
+    looped = [reference_forest_predict(forest, q) for q in queries]
     for a, b in zip(batched, looped):
         if not np.array_equal(a, b):
             raise AssertionError("batched predict diverges from per-query loop")
 
-    fast_s = _best_of(lambda: forest.predict_many(queries), 5)
-    base_s = _best_of(lambda: [forest.predict(q) for q in queries], 2)
+    fast_s, base_s = _best_of(
+        lambda: forest.predict_many(queries),
+        lambda: [reference_forest_predict(forest, q) for q in queries],
+        5,
+    )
     return _result(
         "predict_many", n_queries, "queries", fast_s, base_s,
         {
@@ -379,6 +394,67 @@ def bench_predict_many(quick: bool = False) -> BenchResult:
     )
 
 
+def bench_forest_predict(quick: bool = False) -> BenchResult:
+    """Flat forest descent vs. the per-tree loop, at three batch shapes.
+
+    A Fig 2-shaped forest (64 runs x 34 predictors, 300 trees; 40 under
+    ``--quick``) is queried with 1-, 64- and 1280-row inputs: a served
+    single-row query, a served batch, and a stacked partial-dependence
+    grid. The flat path is :meth:`RandomForestRegressor.predict`; the
+    baseline is the per-tree loop of :mod:`repro.ml._reference`. Each
+    shape is checked bit-identical before timing. The recorded speedup
+    is the geometric mean of the per-shape speedups, so every shape
+    counts alike (the 1280-row shape alone would dominate summed
+    times); the per-shape figures are in ``detail``.
+    """
+    from repro.ml._reference import reference_forest_predict
+    from repro.ml.forest import RandomForestRegressor
+
+    n, p = 64, 34
+    trees = 40 if quick else 300
+    rng = np.random.default_rng(9)
+    X = rng.lognormal(size=(n, p))
+    y = 3.0 * X[:, 0] + np.log(X[:, 1]) + rng.normal(scale=0.3, size=n)
+    forest = RandomForestRegressor(
+        n_trees=trees, importance=False, rng=10
+    ).fit(X, y)
+    lo, hi = X.min(axis=0), X.max(axis=0)
+
+    shapes = (1, 64, 1280)
+    fast_total = base_total = 0.0
+    per_shape = {}
+    for rows in shapes:
+        Q = rng.uniform(lo, hi, size=(rows, p))
+        if (
+            forest.predict(Q).tobytes()
+            != reference_forest_predict(forest, Q).tobytes()
+        ):
+            raise AssertionError(
+                f"flat forest predict diverges from the per-tree loop "
+                f"on {rows} rows"
+            )
+        fast_s, base_s = _best_of(
+            lambda: forest.predict(Q),
+            lambda: reference_forest_predict(forest, Q),
+            7,
+        )
+        fast_total += fast_s
+        base_total += base_s
+        per_shape[str(rows)] = {
+            "fast_ms": 1e3 * fast_s,
+            "baseline_ms": 1e3 * base_s,
+            "speedup": base_s / fast_s,
+        }
+    result = _result(
+        "forest_predict", sum(shapes), "rows", fast_total, base_total,
+        {"trees": trees, "n_features": p, "shapes": per_shape},
+    )
+    result.speedup = float(
+        np.exp(np.mean([np.log(v["speedup"]) for v in per_shape.values()]))
+    )
+    return result
+
+
 def bench_partial_dependence(quick: bool = False) -> BenchResult:
     """Fig 2 interpretation stage: stacked partial-dependence grids vs.
     the per-grid-point loop they replace.
@@ -387,8 +463,8 @@ def bench_partial_dependence(quick: bool = False) -> BenchResult:
     paper benches) and the partial dependence of its top 8 predictors —
     what :func:`repro.core.importance.rank_importance` computes. The
     stacked path scores each feature's whole grid in one forest pass;
-    the reference walks the forest once per grid point. Checked
-    bit-identical before timing.
+    the reference walks the forest tree by tree once per grid point.
+    Checked bit-identical before timing.
     """
     from repro.ml._reference import reference_partial_dependence
     from repro.ml.forest import RandomForestRegressor
@@ -416,8 +492,11 @@ def bench_partial_dependence(quick: bool = False) -> BenchResult:
             raise AssertionError("stacked partial dependence diverges from loop")
 
     grid_points = sum(pd.grid.size for pd in stacked)
-    fast_s = _best_of(lambda: run(partial_dependence), 5)
-    base_s = _best_of(lambda: run(reference_partial_dependence), 2)
+    fast_s, base_s = _best_of(
+        lambda: run(partial_dependence),
+        lambda: run(reference_partial_dependence),
+        3,
+    )
     return _result(
         "partial_dependence", len(features), "features", fast_s, base_s,
         {
@@ -601,8 +680,9 @@ def bench_serve_concurrent(quick: bool = False) -> BenchResult:
                 raise AssertionError(
                     "baseline responses diverge from the serial server"
                 )
-            fast_s = _best_of(lambda: drive(*addr["fast"]), 4)
-            base_s = _best_of(lambda: drive(*addr["base"]), 2)
+            fast_s, base_s = _best_of(
+                lambda: drive(*addr["fast"]), lambda: drive(*addr["base"]), 3
+            )
         finally:
             shutdown = json.dumps({"id": "stop", "method": "shutdown"})
             for which in ("fast", "base"):
@@ -698,8 +778,9 @@ def bench_time_to_matrix(quick: bool = False) -> BenchResult:
         ):
             raise AssertionError("indexed matrix diverges from CSV parse")
 
-        fast_s = _best_of(lambda: repo.matrix(key), 3)
-        base_s = _best_of(lambda: repo.load(key).matrix(), 2)
+        fast_s, base_s = _best_of(
+            lambda: repo.matrix(key), lambda: repo.load(key).matrix(), 3
+        )
         return _result(
             "time_to_matrix", n_runs, "stored runs", fast_s, base_s,
             {
@@ -782,8 +863,7 @@ def bench_fit_from_repo(quick: bool = False) -> BenchResult:
                 importance=False, rng=21,
             ).fit(Xb, yb, feature_names=list(nb))
 
-        fast_s = _best_of(run_fast, 3)
-        base_s = _best_of(run_base, 2)
+        fast_s, base_s = _best_of(run_fast, run_base, 3)
         return _result(
             "fit_from_repo", n_base + n_delta, "stored runs",
             fast_s, base_s,
@@ -803,6 +883,7 @@ BENCHMARKS = {
     "forest_fit": bench_forest_fit,
     "campaign_sweep": bench_campaign_sweep,
     "predict_many": bench_predict_many,
+    "forest_predict": bench_forest_predict,
     "partial_dependence": bench_partial_dependence,
     "serve_concurrent": bench_serve_concurrent,
     "time_to_matrix": bench_time_to_matrix,

@@ -3,13 +3,15 @@
 These are the scalar hot paths that :mod:`repro.ml.tree`,
 :mod:`repro.ml.forest` and :mod:`repro.ml.partial_dependence` replaced
 with the block-vectorized split scan, the batched OOB-permutation
-predict, the spawned-stream parallel fit and the stacked
-partial-dependence grid. They survive for two reasons:
+predict, the spawned-stream parallel fit, the stacked
+partial-dependence grid and the flat forest descent. They survive for
+two reasons:
 
 * **correctness oracles** — the equivalence tests pin the fast
   implementations against these on randomized datasets
   (``tests/ml/test_forest_parallel.py``,
-  ``tests/ml/test_partial_dependence.py``);
+  ``tests/ml/test_partial_dependence.py``,
+  ``tests/ml/test_forest_flat.py``);
 * **benchmark baselines** — ``repro bench`` times them against the fast
   paths and records both in ``BENCH_core.json``, so speedups are
   measured against real code, not remembered numbers.
@@ -28,8 +30,22 @@ from .tree import _LEAF, _best_split_for_feature
 __all__ = [
     "ReferenceRegressionTree",
     "ReferenceRandomForestRegressor",
+    "reference_forest_predict",
     "reference_partial_dependence",
 ]
+
+
+def reference_forest_predict(forest, X: np.ndarray) -> np.ndarray:
+    """Forest average with one ``tree.predict`` call per tree.
+
+    The loop :meth:`repro.ml.forest.RandomForestRegressor.predict`
+    replaced with a flat descent; works on any object with ``trees_``.
+    """
+    X = np.asarray(X, dtype=float)
+    acc = np.zeros(X.shape[0])
+    for tree in forest.trees_:
+        acc += tree.predict(X)
+    return acc / len(forest.trees_)
 
 
 class ReferenceRegressionTree:
@@ -280,11 +296,7 @@ class ReferenceRandomForestRegressor:
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        acc = np.zeros(X.shape[0])
-        for tree in self.trees_:
-            acc += tree.predict(X)
-        return acc / len(self.trees_)
+        return reference_forest_predict(self, X)
 
 
 def reference_partial_dependence(
@@ -300,14 +312,17 @@ def reference_partial_dependence(
 
     Same arguments and grid as
     :func:`repro.ml.partial_dependence.partial_dependence`, which scores
-    the whole grid in one stacked pass instead.
+    the whole grid in one stacked pass instead. A forest is walked with
+    the per-tree loop of :func:`reference_forest_predict`; any other
+    model through its own ``predict``.
     """
     X, grid = _validated_grid(
         X, feature, grid_resolution, percentile_clip, confidence
     )
     values = np.empty(grid.size)
     lower = upper = None
-    trees = getattr(model, "trees_", None) if confidence is not None else None
+    forest_trees = getattr(model, "trees_", None)
+    trees = forest_trees if confidence is not None else None
     if trees:
         lower = np.empty(grid.size)
         upper = np.empty(grid.size)
@@ -321,6 +336,8 @@ def reference_partial_dependence(
             values[i] = float(per_tree.mean())
             lower[i] = float(np.quantile(per_tree, alpha))
             upper[i] = float(np.quantile(per_tree, 1.0 - alpha))
+        elif forest_trees:
+            values[i] = float(np.mean(reference_forest_predict(model, work)))
         else:
             values[i] = float(np.mean(model.predict(work)))
     return _assemble(feature, feature_name, grid, values, lower, upper)

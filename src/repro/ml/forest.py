@@ -36,6 +36,20 @@ tree, with the permutations themselves drawn as a single matrix op
 (``Generator.permuted``), instead of one predict call per variable. The
 pre-vectorization implementation is preserved in
 :mod:`repro.ml._reference` as the oracle and benchmark baseline.
+
+Flat prediction
+---------------
+
+:meth:`RandomForestRegressor.predict` does not loop over trees. On first
+use it concatenates every tree's node arrays into forest-level arrays
+(child indices offset per tree, leaves pointing at themselves) and then
+advances all (tree, row) pairs of a block of trees one level per numpy
+step. Blocks hold at most ``_PREDICT_PAIR_BUDGET`` pairs, so a single
+row walks a paper-sized forest in one block while a large batch falls
+back to one tree per block. Leaf values are added onto the running sum
+strictly in tree order — the additions ``acc += tree.predict(X)`` makes
+tree after tree — so predictions are bit-identical to the per-tree loop
+kept in :mod:`repro.ml._reference`.
 """
 
 from __future__ import annotations
@@ -51,13 +65,97 @@ from repro.parallel import (
 )
 
 from .metrics import explained_variance, mse
-from .tree import RegressionTree
+from .tree import _LEAF, RegressionTree
 
 __all__ = ["RandomForestRegressor"]
 
 # Cap on the stacked permuted-OOB matrix built per tree for the batched
 # importance predict; larger jobs fall back to per-variable chunks.
 _IMPORTANCE_BATCH_BYTES = 16 << 20
+
+# Cap on (tree, row) pairs one flat-descent block advances together: one
+# row covers up to this many trees in a single block, while the block's
+# index temporaries stay a few tens of KiB per concurrent caller.
+_PREDICT_PAIR_BUDGET = 4096
+
+# np.add.accumulate down a (trees, rows) block pays numpy overhead per
+# row (~20 ns), adding the tree rows one at a time pays it per tree
+# (~2 us). Blocks with fewer rows than this per tree accumulate.
+_ROWS_PER_TREE_ADD = 64
+
+
+def _add_in_tree_order(acc: np.ndarray, leaves: np.ndarray) -> np.ndarray:
+    """``acc + leaves[0] + leaves[1] + ...``, added strictly in that order.
+
+    The same IEEE additions as the per-tree loop's ``acc += v``, so the
+    result is bit-identical to it. Both branches perform exactly those
+    additions; they differ only in numpy call overhead.
+    """
+    k, n = leaves.shape
+    if n < _ROWS_PER_TREE_ADD * k:
+        # Row 0 carries the running sum in; the last row of the
+        # accumulate is the sum after the block's last tree.
+        sums = np.empty((k + 1, n))
+        sums[0] = acc
+        sums[1:] = leaves
+        return np.add.accumulate(sums, axis=0)[-1]
+    acc = acc + leaves[0]
+    for values in leaves[1:]:
+        acc += values
+    return acc
+
+
+class _FlatForest:
+    """Every tree's node arrays concatenated into forest-level arrays.
+
+    ``roots[t]`` is tree ``t``'s root in the flat arrays; child indices
+    carry that offset, and leaves point at themselves.
+    """
+
+    __slots__ = ("feature", "threshold", "left", "right", "value", "roots")
+
+    def __init__(self, trees: list[RegressionTree]) -> None:
+        sizes = [t.feature_.size for t in trees]
+        self.roots = np.zeros(len(trees), dtype=np.intp)
+        np.cumsum(sizes[:-1], out=self.roots[1:])
+        self.feature = np.concatenate([t.feature_ for t in trees])
+        self.threshold = np.concatenate([t.threshold_ for t in trees])
+        self.value = np.concatenate([t.value_ for t in trees])
+        shift = np.repeat(self.roots, sizes)
+        leaf = self.feature == _LEAF
+        self_loop = np.arange(self.feature.size, dtype=np.intp)
+        self.left = np.where(
+            leaf, self_loop, np.concatenate([t.left_ for t in trees]) + shift
+        )
+        self.right = np.where(
+            leaf, self_loop, np.concatenate([t.right_ for t in trees]) + shift
+        )
+
+    def predict_sum(self, X: np.ndarray) -> np.ndarray:
+        """Sum over trees of each row's leaf value, added in tree order."""
+        n, p = X.shape
+        flat_x = np.ascontiguousarray(X).ravel()
+        n_trees = self.roots.size
+        per_block = max(1, min(n_trees, _PREDICT_PAIR_BUDGET // n))
+        # Offset of each pair's row in flat_x; a block of k trees uses
+        # the first k * n entries (pairs are tree-major).
+        row_at = np.tile(np.arange(n, dtype=np.intp) * p, per_block)
+        acc = np.zeros(n)
+        for lo in range(0, n_trees, per_block):
+            roots = self.roots[lo : lo + per_block]
+            node = np.repeat(roots, n)
+            idx = np.flatnonzero(self.feature[node] != _LEAF)
+            while idx.size:
+                cur = node[idx]
+                go_left = (
+                    flat_x[row_at[idx] + self.feature[cur]]
+                    <= self.threshold[cur]
+                )
+                nxt = np.where(go_left, self.left[cur], self.right[cur])
+                node[idx] = nxt
+                idx = idx[self.feature[nxt] != _LEAF]
+            acc = _add_in_tree_order(acc, self.value[node].reshape(-1, n))
+        return acc
 
 
 def _permutation_deltas(
@@ -229,6 +327,20 @@ class RandomForestRegressor:
         #: spawned) pins its position exactly.
         self._spawned = 0
 
+    @property
+    def trees_(self) -> list[RegressionTree]:
+        """The fitted trees, in aggregation order."""
+        return self._trees
+
+    @trees_.setter
+    def trees_(self, trees: list[RegressionTree]) -> None:
+        # Every change of the tree list comes through here (fit, refit,
+        # artifact and state restores), so predict()'s flat arrays can
+        # never outlive the trees they were copied from. Grow the list
+        # by assigning a new one, never in place.
+        self._trees = trees
+        self._flat = None
+
     # -- fitting ---------------------------------------------------------
 
     def fit(
@@ -260,13 +372,14 @@ class RandomForestRegressor:
 
         # Per-tree artifacts kept for life: what refit() re-aggregates
         # over and incremental-fit state serializes.
-        self.trees_: list[RegressionTree] = []
+        trees: list[RegressionTree] = []
         self._tree_oob: list[tuple[np.ndarray, np.ndarray | None]] = []
         self._tree_perm: list[np.ndarray] = []
         for tree, oob_idx, pred_oob, perm_row in results:
-            self.trees_.append(tree)
+            trees.append(tree)
             self._tree_oob.append((oob_idx, pred_oob))
             self._tree_perm.append(perm_row)
+        self.trees_ = trees
         self._generations = [{"n_trees": self.n_trees, "n_rows": n}]
 
         self.n_features_ = p
@@ -438,10 +551,12 @@ class RandomForestRegressor:
             n_jobs=min(self.n_jobs, n_new_trees),
         ):
             results = self._grow(X, y, n_new_trees, self._config(p))
+        trees = list(self.trees_)
         for tree, oob_idx, pred_oob, perm_row in results:
-            self.trees_.append(tree)
+            trees.append(tree)
             self._tree_oob.append((oob_idx, pred_oob))
             self._tree_perm.append(perm_row)
+        self.trees_ = trees
         self._generations.append({"n_trees": n_new_trees, "n_rows": n})
         self.n_trees = len(self.trees_)
         self._aggregate(X, y)
@@ -450,14 +565,14 @@ class RandomForestRegressor:
     # -- prediction ------------------------------------------------------
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Average of the per-tree predictions."""
+        """Average of the per-tree predictions (one flat descent)."""
         X = self._validate_predict_input(X)
         if X.shape[0] == 0:
             return np.zeros(0)
-        acc = np.zeros(X.shape[0])
-        for tree in self.trees_:
-            acc += tree.predict(X)
-        return acc / len(self.trees_)
+        flat = self._flat
+        if flat is None:
+            flat = self._flat = _FlatForest(self.trees_)
+        return flat.predict_sum(X) / len(self.trees_)
 
     def _validate_predict_input(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -471,19 +586,24 @@ class RandomForestRegressor:
             raise ValueError(
                 f"X must be 2-D with {self.n_features_} columns, got {X.shape}"
             )
+        if not np.isfinite(X).all():
+            rows = np.flatnonzero(~np.isfinite(X).all(axis=1))
+            raise ValueError(
+                f"X holds NaN or infinite values (rows {rows[:5].tolist()}"
+                f"{' ...' if rows.size > 5 else ''}); a forest cannot "
+                f"answer a non-finite query"
+            )
         return X
 
     def predict_many(self, queries) -> list[np.ndarray]:
         """Batched :meth:`predict` over many query matrices.
 
         Stacks the queries into one feature matrix and runs a single
-        forest pass — one ``tree.predict`` per tree for the whole batch
-        (reusing the iterative :meth:`RegressionTree.apply` descent)
-        instead of one full forest walk per query — then splits the
-        averaged predictions back per query. Bit-identical to
-        ``[self.predict(q) for q in queries]``: prediction is an
-        elementwise per-row map and the per-tree accumulation order is
-        unchanged.
+        flat forest pass for the whole batch instead of one per query,
+        then splits the averaged predictions back per query.
+        Bit-identical to ``[self.predict(q) for q in queries]``:
+        prediction is an elementwise per-row map and the per-tree
+        accumulation order is unchanged.
         """
         mats = [self._validate_predict_input(q) for q in queries]
         if not mats:

@@ -143,7 +143,7 @@ def restore_forest(
         spawn_streams(forest._rng, spawned)
     forest._spawned = spawned
 
-    forest.trees_ = []
+    trees = []
     forest._tree_oob = []
     forest._tree_perm = []
     for entry in state["trees"]:
@@ -151,7 +151,7 @@ def restore_forest(
         tree.impurity_decrease_ = np.asarray(
             entry["impurity_decrease"], dtype=float
         )
-        forest.trees_.append(tree)
+        trees.append(tree)
         oob_idx = np.asarray(entry["oob_idx"], dtype=np.intp)
         pred_oob = (
             None if entry["pred_oob"] is None
@@ -159,6 +159,7 @@ def restore_forest(
         )
         forest._tree_oob.append((oob_idx, pred_oob))
         forest._tree_perm.append(np.asarray(entry["perm_row"], dtype=float))
+    forest.trees_ = trees
     forest._generations = [dict(g) for g in state["generations"]]
     forest.n_features_ = n_features
     forest.feature_names_ = list(state["feature_names"])

@@ -511,20 +511,27 @@ class PredictionServer:
             )
         try:
             if rows is not None:
-                return servable.rows_from_dicts(list(rows))
-            mat = np.asarray(X, dtype=float)
-            if mat.ndim != 2:
-                raise ValueError(
-                    f"'X' must be 2-D (n_samples, n_features); got "
-                    f"shape {mat.shape}"
-                )
-            # Width-check here, per request, so one malformed query is
-            # refused alone instead of failing its whole batch group.
+                mat = servable.rows_from_dicts(list(rows))
+            else:
+                mat = np.asarray(X, dtype=float)
+                if mat.ndim != 2:
+                    raise ValueError(
+                        f"'X' must be 2-D (n_samples, n_features); got "
+                        f"shape {mat.shape}"
+                    )
+            # Check width and finiteness here, per request, so one
+            # malformed query is refused alone instead of failing its
+            # whole batch group in the forest's own input check.
             want = len(servable.feature_names)
             if mat.shape[1] != want:
                 raise ValueError(
                     f"'X' has {mat.shape[1]} columns; this fit expects "
                     f"{want} features {servable.feature_names}"
+                )
+            if not np.isfinite(mat).all():
+                raise ValueError(
+                    "query holds NaN or infinite values; a forest cannot "
+                    "answer a non-finite query"
                 )
             return mat
         except (TypeError, ValueError) as exc:

@@ -2,12 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.bench import (
     BENCHMARKS,
     SCHEMA,
     BenchResult,
+    _best_of,
+    bench_forest_predict,
     bench_partial_dependence,
     bench_trace_transactions,
     check_regressions,
@@ -72,6 +75,55 @@ class TestBenchHarness:
         assert code == 0
         assert out.exists()
         assert "trace_transactions" in capsys.readouterr().out
+
+
+class TestBestOf:
+    def test_alternates_fast_and_baseline(self):
+        calls = []
+        _best_of(lambda: calls.append("fast"), lambda: calls.append("base"), 3)
+        assert calls == ["fast", "base"] * 3
+
+    def test_keeps_each_sides_minimum(self, monkeypatch):
+        import repro.bench as bench
+
+        # Round durations: fast 5, 2, 4 and base 9, 7, 8 clock ticks.
+        ticks = iter([0, 5, 14, 14, 16, 23, 23, 27, 35])
+        monkeypatch.setattr(bench.time, "perf_counter", lambda: next(ticks))
+        assert _best_of(lambda: None, lambda: None, 3) == (2, 7)
+
+
+class TestForestPredictOp:
+    def test_result_shape(self):
+        result = bench_forest_predict(quick=True)
+        assert result.op == "forest_predict"
+        assert (result.n, result.unit) == (1 + 64 + 1280, "rows")
+        assert result.detail["trees"] == 40
+        shapes = result.detail["shapes"]
+        assert list(shapes) == ["1", "64", "1280"]
+        ratios = [v["speedup"] for v in shapes.values()]
+        assert result.speedup == pytest.approx(
+            float(np.exp(np.mean(np.log(ratios))))
+        )
+        assert result.wall_s == pytest.approx(
+            sum(v["fast_ms"] for v in shapes.values()) / 1e3
+        )
+
+    def test_divergence_fails_before_timing(self, monkeypatch):
+        import repro.ml._reference as reference
+
+        real = reference.reference_forest_predict
+        monkeypatch.setattr(
+            reference, "reference_forest_predict",
+            lambda forest, X: real(forest, X) + 1e-12,
+        )
+        with pytest.raises(AssertionError, match="diverges"):
+            bench_forest_predict(quick=True)
+
+    def test_every_op_in_committed_baseline(self):
+        # --check skips ops the baseline lacks, so an op missing from
+        # BENCH_core.json would never be guarded.
+        committed = json.loads(open("BENCH_core.json").read())
+        assert {r["op"] for r in committed["results"]} == set(BENCHMARKS)
 
 
 class TestPartialDependenceOp:
